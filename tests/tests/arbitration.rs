@@ -52,6 +52,25 @@ fn campaign_reports_match_pre_refactor_digests() {
     }
 }
 
+/// Sampled-checker campaign reports at two strides, pinned the same way:
+/// any drift in how a hetero scenario is built, run, or read back (latch
+/// sweep, arrival log, analytic bound) changes the report bytes.
+#[test]
+fn hetero_campaign_reports_match_pinned_digests() {
+    let digests: Vec<(u64, u64)> = [4, 16]
+        .into_iter()
+        .map(|k| {
+            let json = Campaign::generate_hetero(0x5EED, 24, k).run().to_json();
+            (k, fnv1a(json.as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [(4, 0x7233_10BC_AFE5_F6C9), (16, 0x5AFB_5CBF_4E17_CA58)],
+        "hetero campaign reports drifted from their pinned bytes"
+    );
+}
+
 fn n_model(n: usize) -> NModularModel {
     let jitters = [5.0, 15.0, 30.0, 10.0, 20.0];
     NModularModel {

@@ -2,11 +2,15 @@
 //! EDF ordering, health-aware replacement, and throughput scaling.
 
 use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica, NJitterStageReplica};
-use rtft_core::{NModularModel, NSizingReport};
+use rtft_core::{
+    HeteroModel, HeteroSizingReport, HeteroStageReplica, NModularModel, NSizingReport,
+};
 use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, JobRuntime, JobSpec, JobTemplate, RejectReason,
+    execute, Admission, FleetConfig, FleetExecutor, JobRunResult, JobRuntime, JobSpec, JobTemplate,
+    RejectReason,
 };
 use rtft_kpn::Payload;
+use rtft_obs::registry_to_json;
 use rtft_rtc::sizing::DuplicationModel;
 use rtft_rtc::{PjdModel, TimeNs};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -256,4 +260,185 @@ fn two_workers_overlap_sleep_bound_jobs() {
         ratio >= 1.2,
         "2 workers should overlap sleep-bound jobs: serial {serial:?}, overlapped {overlapped:?} (ratio {ratio:.2})"
     );
+}
+
+/// FNV-1a 64 — dependency-free content digest for the pinned transcripts.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Interface models shared by the four structure templates: producer,
+/// consumer, and three replica output models (the duplicated pair uses
+/// the first and last, the hetero main the first and its checker the last
+/// one's jitter).
+struct Envelope {
+    producer: PjdModel,
+    consumer: PjdModel,
+    replicas: [PjdModel; 3],
+}
+
+/// One template of each structure over `env`, replica 0 fail-stopping at
+/// `fail_stop` when given.
+fn structure_templates(
+    env: &Envelope,
+    fail_stop: Option<TimeNs>,
+) -> Vec<(&'static str, JobTemplate)> {
+    let payload: rtft_core::PayloadGenerator =
+        Arc::new(|seq| Payload::U64(seq.wrapping_mul(0x9e37_79b9)));
+    let plan = |replica: usize| match fail_stop {
+        Some(at) if replica == 0 => FaultPlan::fail_stop_at(at),
+        _ => FaultPlan::healthy(),
+    };
+    let tokens = 100;
+    let [r0, r1, r2] = env.replicas;
+
+    let dup_model = DuplicationModel::symmetric(env.producer, env.consumer, [r0, r2]);
+    let cfg = DuplicationConfig::from_model(dup_model)
+        .expect("bounded model")
+        .with_token_count(tokens)
+        .with_seeds(3, 4)
+        .with_payload(Arc::clone(&payload))
+        .with_fault(0, plan(0));
+    let factory = Arc::new(JitterStageReplica::from_model(&cfg.model));
+    let duplicated = JobTemplate::Duplicated { cfg, factory };
+
+    let n_model = NModularModel {
+        producer: env.producer,
+        consumer: env.consumer,
+        replicas: vec![r0, r1, r2],
+    };
+    let n_sizing = NSizingReport::analyze(&n_model).expect("bounded");
+    let n_factory: rtft_fleet::SharedFactory =
+        Arc::new(NJitterStageReplica::from_model(&n_model).with_seed_base(7));
+    let n_faults: Vec<FaultPlan> = (0..3).map(plan).collect();
+    let n_modular = JobTemplate::NModular {
+        model: n_model.clone(),
+        sizing: n_sizing.clone(),
+        token_count: tokens,
+        seeds: (1, 2),
+        payload: Arc::clone(&payload),
+        factory: Arc::clone(&n_factory),
+        faults: n_faults.clone(),
+    };
+    let voting = JobTemplate::NModularVoting {
+        model: n_model,
+        sizing: n_sizing,
+        token_count: tokens,
+        seeds: (1, 2),
+        payload: Arc::clone(&payload),
+        factory: n_factory,
+        faults: n_faults,
+    };
+
+    let h_model = HeteroModel::with_checker_jitter(env.producer, env.consumer, r0, r2.jitter, 4);
+    let h_sizing = HeteroSizingReport::analyze(&h_model).expect("bounded");
+    let h_factory = Arc::new(HeteroStageReplica::from_model(&h_model).with_seed_base(11));
+    let hetero = JobTemplate::Hetero {
+        model: h_model,
+        sizing: h_sizing,
+        token_count: tokens,
+        seeds: (5, 6),
+        payload,
+        factory: h_factory,
+        faults: [plan(0), plan(1)],
+    };
+    vec![
+        ("duplicated", duplicated),
+        ("n-modular", n_modular),
+        ("n-modular-voting", voting),
+        ("hetero", hetero),
+    ]
+}
+
+/// Everything a caller can read off a run, as one comparable string.
+fn transcript(r: &JobRunResult) -> String {
+    let health = r
+        .health
+        .as_ref()
+        .map(|h| format!("{:?} {:?}", h.replicas(), h.detection_latency_snapshot()));
+    format!(
+        "{}/{} {:?} {:?} {:?} {}",
+        r.arrivals,
+        r.expected,
+        r.faulty_replicas,
+        r.arrival_log,
+        health,
+        registry_to_json(&r.registry)
+    )
+}
+
+/// `fleet::execute` under the DES, one fail-stop per structure, pinned to
+/// digests captured before the job runner was unified: the arrival log,
+/// the latched replicas, the health model's detection latencies and the
+/// run registry must all stay byte-identical.
+#[test]
+fn des_execute_matches_pinned_digests_for_every_structure() {
+    let runtime = JobRuntime::DiscreteEvent {
+        horizon: TimeNs::from_secs(30),
+    };
+    let env = Envelope {
+        producer: PjdModel::from_ms(30.0, 2.0, 0.0),
+        consumer: PjdModel::from_ms(30.0, 2.0, 120.0),
+        replicas: [
+            PjdModel::from_ms(30.0, 5.0, 0.0),
+            PjdModel::from_ms(30.0, 15.0, 0.0),
+            PjdModel::from_ms(30.0, 30.0, 0.0),
+        ],
+    };
+    let digests: Vec<(&str, u64)> = structure_templates(&env, Some(TimeNs::from_secs(1)))
+        .iter()
+        .map(|(name, template)| {
+            let result = execute(template, &runtime);
+            assert_eq!(result.faulty_replicas, vec![0], "{name}: {result:?}");
+            (*name, fnv1a(transcript(&result).as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("duplicated", 0x8907_2B98_8821_F455),
+            ("n-modular", 0x4458_16A7_098E_4421),
+            ("n-modular-voting", 0x4458_16A7_098E_4421),
+            ("hetero", 0xA055_751B_C976_72EE),
+        ],
+        "DES runs drifted from their pinned transcripts"
+    );
+}
+
+/// Every structure also runs on real threads: a fault-free run delivers
+/// the whole stream with no replica latched, and the sampled checker's
+/// counters reach the job registry. The 40 ms jitter margins match the
+/// threaded spot checks, which budget for OS scheduler stalls.
+#[test]
+fn threaded_execute_runs_every_structure_fault_free() {
+    let _serial = timing_lock();
+    let runtime = JobRuntime::Threaded {
+        deadline: Duration::from_secs(30),
+        quiescence_grace: Duration::from_millis(500),
+    };
+    let env = Envelope {
+        producer: PjdModel::from_ms(2.0, 40.0, 0.0),
+        consumer: PjdModel::from_ms(2.0, 40.0, 6.0),
+        replicas: [
+            PjdModel::from_ms(2.0, 40.0, 0.0),
+            PjdModel::from_ms(2.0, 42.0, 0.0),
+            PjdModel::from_ms(2.0, 45.0, 0.0),
+        ],
+    };
+    let templates = structure_templates(&env, None);
+    for (name, template) in templates.iter().skip(1) {
+        let result = execute(template, &runtime);
+        assert!(result.faulty_replicas.is_empty(), "{name}: {result:?}");
+        assert!(result.completed(), "{name}: {result:?}");
+        if *name == "hetero" {
+            let json = registry_to_json(&result.registry);
+            assert!(json.contains("hetero.tokens.sampled"), "{json}");
+            assert!(json.contains("hetero.tokens.verified"), "{json}");
+        }
+    }
 }
