@@ -17,7 +17,8 @@
 //!
 //! Run with `cargo bench --bench e17`; emits a machine-readable
 //! `BENCH_e17.json:` line and writes `BENCH_e17.json` at the workspace
-//! root for trend tracking (the CI perf smoke reads its floor from it).
+//! root for trend tracking (the CI perf smoke reads its calendar ÷ heap
+//! ratio from it).
 
 use rtft_apps::networks::App;
 use rtft_bench::report::{banner, AsciiTable};
@@ -54,25 +55,29 @@ fn engine_network() -> Network {
     net
 }
 
-/// Events/sec for the current scheduler; best of eight metric-free runs
-/// (the box this runs on is shared, so individual runs see multi-ms
-/// scheduling noise on a ~10 ms workload).
-fn engine_events_per_sec(kind: QueueKind) -> (u64, f64) {
+/// Events/sec under each scheduler in `kinds`; best of eight metric-free
+/// runs per scheduler (the box this runs on is shared, so individual runs
+/// see multi-ms scheduling noise on a ~10 ms workload). The runs are
+/// interleaved round-robin so a load shift on the host hits every
+/// scheduler alike.
+fn engine_events_per_sec<const N: usize>(kinds: [QueueKind; N]) -> (u64, [f64; N]) {
     let registry = MetricsRegistry::new();
     let mut counted = Engine::new(engine_network())
-        .with_queue(kind)
+        .with_queue(kinds[0])
         .with_metrics(&registry);
     counted.run_until(TimeNs::from_secs(30));
     let events = registry.counter("kpn.engine.events").get();
 
-    let mut best = f64::INFINITY;
+    let mut best = [f64::INFINITY; N];
     for _ in 0..8 {
-        let mut engine = Engine::new(engine_network()).with_queue(kind);
-        let start = Instant::now();
-        engine.run_until(TimeNs::from_secs(30));
-        best = best.min(start.elapsed().as_secs_f64());
+        for (kind, best) in kinds.iter().zip(&mut best) {
+            let mut engine = Engine::new(engine_network()).with_queue(*kind);
+            let start = Instant::now();
+            engine.run_until(TimeNs::from_secs(30));
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
     }
-    (events, events as f64 / best)
+    (events, best.map(|secs| events as f64 / secs))
 }
 
 struct PoolPoint {
@@ -197,40 +202,48 @@ fn floor_file() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e17.json")
 }
 
-/// CI perf smoke: re-runs the engine micro and fails on a >30%
-/// regression against the `engine_events_per_sec` floor checked in as
-/// `BENCH_e17.json`. Invoked as `cargo bench --bench e17 -- --ci-smoke
-/// [floor-file]`.
-fn ci_smoke(floor_path: &std::path::Path) -> ! {
-    let floor_path = floor_path.display().to_string();
-    let floor_json = std::fs::read_to_string(&floor_path)
-        .unwrap_or_else(|e| panic!("read perf floor {floor_path}: {e}"));
-    let key = "\"engine_events_per_sec\":";
-    let at = floor_json
-        .find(key)
-        .unwrap_or_else(|| panic!("{floor_path} has no engine_events_per_sec field"));
-    let floor: f64 = floor_json[at + key.len()..]
+/// Reads a numeric field of the flat `BENCH_e17.json` object.
+fn json_number(json: &str, field: &str, path: &str) -> f64 {
+    let key = format!("\"{field}\":");
+    let at = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("{path} has no {field} field"));
+    json[at + key.len()..]
         .trim_start()
         .chars()
-        .take_while(|c| c.is_ascii_digit())
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
         .collect::<String>()
         .parse()
-        .expect("numeric engine_events_per_sec");
+        .unwrap_or_else(|e| panic!("{path}: {field} is not a number: {e}"))
+}
 
-    let (_, eps) = engine_events_per_sec(QueueKind::Calendar);
-    let allowed = floor * 0.7;
+/// CI perf smoke: re-runs the engine micro under both schedulers in this
+/// process and fails when the calendar queue's speed-up over the binary
+/// heap falls more than 30% below the ratio checked in as
+/// `BENCH_e17.json`. Gating on a same-process ratio, not on absolute
+/// events/s, keeps the check meaningful on hosts slower or faster than
+/// the one that recorded the floor. Invoked as
+/// `cargo bench --bench e17 -- --ci-smoke [floor-file]`.
+fn ci_smoke(floor_path: &std::path::Path) -> ! {
+    let path = floor_path.display().to_string();
+    let floor_json =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read perf floor {path}: {e}"));
+    let floor_ratio = json_number(&floor_json, "engine_events_per_sec", &path)
+        / json_number(&floor_json, "engine_heap_events_per_sec", &path);
+
+    let (_, [eps, heap_eps]) = engine_events_per_sec([QueueKind::Calendar, QueueKind::Heap]);
+    let ratio = eps / heap_eps;
+    let allowed = floor_ratio * 0.7;
     println!(
-        "E12 perf smoke: {:.2} Mevents/s measured, floor {:.2} (fail below {:.2})",
+        "E12 perf smoke: calendar {:.2} / heap {:.2} Mevents/s = {ratio:.3}x, \
+         checked-in {floor_ratio:.3}x (fail below {allowed:.3}x)",
         eps / 1e6,
-        floor / 1e6,
-        allowed / 1e6
+        heap_eps / 1e6,
     );
-    if eps < allowed {
+    if ratio < allowed {
         eprintln!(
-            "PERF SMOKE FAILED: engine micro regressed >30% vs the checked-in floor \
-             ({:.2} < {:.2} Mevents/s)",
-            eps / 1e6,
-            allowed / 1e6
+            "PERF SMOKE FAILED: calendar-queue speed-up over the heap regressed >30% \
+             vs the checked-in ratio ({ratio:.3}x < {allowed:.3}x)"
         );
         std::process::exit(1);
     }
@@ -251,8 +264,7 @@ fn main() {
 
     banner("E17: hot-path overhaul — engine, flush latency, pool");
 
-    let (events, eps) = engine_events_per_sec(QueueKind::Calendar);
-    let (_, heap_eps) = engine_events_per_sec(QueueKind::Heap);
+    let (events, [eps, heap_eps]) = engine_events_per_sec([QueueKind::Calendar, QueueKind::Heap]);
     let mevents = eps / 1e6;
     println!(
         "engine micro: {ENGINE_TOKENS} tokens, {events} events, {mevents:.2} Mevents/s \

@@ -69,7 +69,7 @@ pub use replay::{classify_replay, diff_digests, ReplayVerdict};
 pub use runner::{run_scenario, OutcomeClass, ScenarioOutcome};
 pub use scenario::{
     generate_hetero_scenarios, generate_scenarios, kind_label, FaultSpec, PlatformKind, Redundancy,
-    Scenario, SCENARIO_TOKENS, SERVICE_DIVISOR,
+    Scenario, SCENARIO_TOKENS,
 };
 pub use tenants::{
     chaos_with_tenants, TenantChaosReport, CHAOS_TENANTS, DETACHED_TENANT, FAULTY_TENANT,

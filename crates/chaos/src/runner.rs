@@ -16,14 +16,11 @@
 //! * [`OutcomeClass::FalsePositive`] — a *healthy* replica was latched.
 
 use crate::bounds::BoundCheck;
-use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario, SERVICE_DIVISOR};
-use rtft_core::{
-    build_duplicated, build_hetero, build_n_modular_voting, DuplicationConfig, FaultKind,
-    FaultPlan, HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica,
-    JitterStageReplica, NJitterStageReplica, NModularModel, NReplicator, NSizingReport,
-    PayloadGenerator, SampledReplicator, VotingSelector,
-};
+use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario};
+use rtft_core::{FaultKind, PayloadGenerator};
+use rtft_fleet::{output_slowdown, FinishedRun, JobTemplate};
 use rtft_kpn::{Engine, Payload, SplitMix64};
+use rtft_obs::MetricsRegistry;
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
 use rtft_scc::{low_contention_pipeline, NocFaultPlan, SccPlatform};
@@ -99,7 +96,7 @@ fn analytic_bound(s: &Scenario, f: &FaultSpec, b: &DetectionBounds) -> Option<Ti
     match f.kind {
         FaultKind::FailStop => Some(b.permanent_timing()),
         FaultKind::SlowBy(raw) => {
-            let eff = raw / SERVICE_DIVISOR as f64;
+            let eff = output_slowdown(raw);
             if eff > 1.0 {
                 b.slow_by(eff)
             } else {
@@ -137,7 +134,7 @@ fn hetero_analytic_bound(f: &FaultSpec, b: &HeteroBounds) -> Option<TimeNs> {
             })
         }
         FaultKind::SlowBy(raw) => {
-            let eff = raw / SERVICE_DIVISOR as f64;
+            let eff = output_slowdown(raw);
             if f.replica == 0 && eff > 1.0 {
                 b.slow_by(eff)
             } else {
@@ -176,14 +173,6 @@ pub(crate) fn payload_cycle(seed: u64, bytes: usize) -> PayloadGenerator {
         })
         .collect();
     Arc::new(move |seq| blocks[(seq % 8) as usize].clone())
-}
-
-fn earliest(a: Option<TimeNs>, b: Option<TimeNs>) -> Option<TimeNs> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }
 
 /// Wraps the built network in the scenario's platform and returns the
@@ -226,7 +215,7 @@ fn classify(
     producer: &PjdModel,
     bound: Option<TimeNs>,
     latches: &[Option<TimeNs>],
-    arrivals: &[(TimeNs, u64)],
+    arrivals: &[(u64, u64)],
     expected_digests: &[u64],
 ) -> ScenarioOutcome {
     let value_errors = arrivals
@@ -286,82 +275,45 @@ fn classify(
 }
 
 /// Builds, runs, and classifies one scenario under the deterministic DES.
+///
+/// The network comes from the shared profile recipe
+/// ([`JobTemplate::for_profile`]) and is read back through the same
+/// observation path as a fleet job ([`JobTemplate::observe`]); only the
+/// platform engine and the per-structure analytic bound are the
+/// scenario runner's own.
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let profile = s.app.profile();
     let model = profile.model;
-    let period = model.producer.period;
-    let service = period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
     let payload = payload_cycle(s.seed, profile.input_token_bytes);
     let expected_digests: Vec<u64> = (0..8).map(|i| payload(i).digest()).collect();
-    let horizon = period * (s.token_count + 60) + model.consumer.delay + TimeNs::from_secs(5);
+    let horizon =
+        model.producer.period * (s.token_count + 60) + model.consumer.delay + TimeNs::from_secs(5);
+    let fault = s.fault.map(|f| (f.replica, f.plan(s.seed ^ 0xFA01)));
+    let template = JobTemplate::for_profile(
+        &model,
+        s.redundancy,
+        s.token_count,
+        s.seed,
+        payload,
+        fault.as_slice(),
+    );
 
-    match s.redundancy {
-        Redundancy::Duplicated => {
-            let mut cfg = DuplicationConfig::from_model(model)
-                .expect("profile models are bounded")
-                .with_token_count(s.token_count)
-                .with_seeds(s.seed ^ 0xA5A5, s.seed ^ 0x5A5A)
-                .with_payload(Arc::clone(&payload));
-            if let Some(f) = s.fault {
-                cfg = cfg.with_fault(f.replica, f.plan(s.seed ^ 0xFA01));
-            }
-            let factory = JitterStageReplica {
-                service,
-                out_model: [
-                    model.replica_out[0].with_delay(offset),
-                    model.replica_out[1].with_delay(offset),
-                ],
-                seeds: [s.seed ^ 0x11, s.seed ^ 0x22],
-            };
-            let bounds = cfg.sizing.detection_bounds(&model);
-            let (net, ids) = build_duplicated(&cfg, &factory);
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = ids.replicator_faults(net);
-            let sel = ids.selector_faults(net);
-            let latches: Vec<Option<TimeNs>> = (0..2)
-                .map(|i| earliest(rep[i].map(|r| r.at), sel[i].map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| analytic_bound(s, &f, &bounds));
-            classify(
-                s,
-                &model.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
-            )
+    let (net, probe, _) = template.build(&MetricsRegistry::new());
+    let mut engine = engine_for(s, net, probe.replicator, probe.selector);
+    engine.run_until(horizon);
+    let obs = template.observe(&FinishedRun::Des(Box::new(engine)), &probe);
+    let latches: Vec<Option<TimeNs>> = (0..s.redundancy.replicas())
+        .map(|i| obs.first_latch(i))
+        .collect();
+    let bound = s.fault.and_then(|f| match &template {
+        JobTemplate::Duplicated { cfg, .. } => {
+            analytic_bound(s, &f, &cfg.sizing.detection_bounds(&model))
         }
-        Redundancy::TriVoting => {
-            let mid_jitter = TimeNs::from_ns(
-                (model.replica_out[0].jitter.as_ns() + model.replica_out[1].jitter.as_ns()) / 2,
-            );
-            let nmodel = NModularModel {
-                producer: model.producer,
-                consumer: model.consumer,
-                replicas: vec![
-                    model.replica_out[0],
-                    model.replica_out[1],
-                    PjdModel::new(period, mid_jitter, TimeNs::ZERO),
-                ],
-            };
-            let sizing = NSizingReport::analyze(&nmodel).expect("profile models are bounded");
-            let mut faults = vec![FaultPlan::healthy(); 3];
-            if let Some(f) = s.fault {
-                faults[f.replica] = f.plan(s.seed ^ 0xFA01);
-            }
-            let factory = NJitterStageReplica {
-                service,
-                out_models: nmodel.replicas.clone(),
-                offset,
-                seed_base: s.seed ^ 0x33,
-            };
+        JobTemplate::NModularVoting { model, sizing, .. } => {
             let bounds = DetectionBounds::new(
-                nmodel.producer,
-                nmodel.consumer,
-                nmodel.replicas.clone(),
+                model.producer,
+                model.consumer,
+                model.replicas.clone(),
                 sizing.threshold,
                 sizing
                     .replicator_capacity
@@ -371,89 +323,21 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
                     .unwrap_or(1),
                 sizing.selector_capacity.iter().copied().max().unwrap_or(1),
             );
-            let (net, ids) = build_n_modular_voting(
-                &nmodel,
-                &sizing,
-                s.token_count,
-                (s.seed ^ 0xA5A5, s.seed ^ 0x5A5A),
-                Arc::clone(&payload),
-                &factory,
-                &faults,
-            );
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = net
-                .channel_as::<NReplicator>(ids.replicator)
-                .expect("n-replicator");
-            let sel = net
-                .channel_as::<VotingSelector>(ids.selector)
-                .expect("voting selector");
-            let latches: Vec<Option<TimeNs>> = (0..3)
-                .map(|i| earliest(rep.fault(i).map(|r| r.at), sel.fault(i).map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| analytic_bound(s, &f, &bounds));
-            classify(
-                s,
-                &nmodel.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
-            )
+            analytic_bound(s, &f, &bounds)
         }
-        Redundancy::Hetero { k } => {
-            let hmodel = HeteroModel::with_checker_jitter(
-                model.producer,
-                model.consumer,
-                model.replica_out[0],
-                model.replica_out[1].jitter,
-                k,
-            );
-            let sizing = HeteroSizingReport::analyze(&hmodel).expect("profile models are bounded");
-            let bounds = sizing.bounds(&hmodel);
-            let mut faults = [FaultPlan::healthy(), FaultPlan::healthy()];
-            if let Some(f) = s.fault {
-                faults[f.replica] = f.plan(s.seed ^ 0xFA01);
-            }
-            let factory = HeteroStageReplica {
-                service,
-                out_models: [hmodel.main, hmodel.checker],
-                offset,
-                seed_base: s.seed ^ 0x44,
-            };
-            let (net, ids) = build_hetero(
-                &hmodel,
-                &sizing,
-                s.token_count,
-                (s.seed ^ 0xA5A5, s.seed ^ 0x5A5A),
-                Arc::clone(&payload),
-                &factory,
-                &faults,
-            );
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = net
-                .channel_as::<SampledReplicator>(ids.replicator)
-                .expect("sampled replicator");
-            let sel = net
-                .channel_as::<HeteroSelector>(ids.selector)
-                .expect("hetero selector");
-            let latches: Vec<Option<TimeNs>> = (0..2)
-                .map(|i| earliest(rep.fault(i).map(|r| r.at), sel.fault(i).map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| hetero_analytic_bound(&f, &bounds));
-            classify(
-                s,
-                &hmodel.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
-            )
+        JobTemplate::Hetero { model, sizing, .. } => {
+            hetero_analytic_bound(&f, &sizing.bounds(model))
         }
-    }
+        JobTemplate::NModular { .. } => unreachable!("the recipe builds no timing n-modular job"),
+    });
+    classify(
+        s,
+        &model.producer,
+        bound,
+        &latches,
+        &obs.arrival_log,
+        &expected_digests,
+    )
 }
 
 #[cfg(test)]

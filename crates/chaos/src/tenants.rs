@@ -11,14 +11,10 @@
 //! job and its token balance stays intact, while every other tenant's
 //! outcome is byte-for-byte what it would have been without the detach).
 
-use crate::runner::payload_cycle;
-use crate::scenario::SERVICE_DIVISOR;
+use crate::load::profile_spec;
 use rtft_apps::networks::App;
-use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica};
-use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, FleetReport, JobNotifier, JobRuntime, JobSpec,
-    JobTemplate,
-};
+use rtft_core::FaultPlan;
+use rtft_fleet::{Admission, FleetConfig, FleetExecutor, FleetReport, JobNotifier, Redundancy};
 use rtft_rtc::TimeNs;
 use rtft_tenant::{
     TenantConfig, TenantDirectoryReport, TenantError, TenantId, TenantManager, TenantReject,
@@ -40,42 +36,6 @@ pub const DETACHED_TENANT: usize = 2;
 
 /// Jobs each surviving tenant submits.
 const ROUNDS: usize = 2;
-
-fn spec(name: &str, app: App, seed: u64, fault: Option<(usize, FaultPlan)>) -> JobSpec {
-    let profile = app.profile();
-    let model = profile.model;
-    let service = model.producer.period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-    let mut cfg = DuplicationConfig::from_model(model)
-        .expect("profile models are bounded")
-        .with_token_count(TENANT_TOKENS)
-        .with_seeds(seed ^ 0xA5A5, seed ^ 0x5A5A)
-        .with_payload(payload_cycle(seed, profile.input_token_bytes));
-    if let Some((replica, plan)) = fault {
-        cfg = cfg.with_fault(replica, plan);
-    }
-    let factory = JitterStageReplica {
-        service,
-        out_model: [
-            model.replica_out[0].with_delay(offset),
-            model.replica_out[1].with_delay(offset),
-        ],
-        seeds: [seed ^ 0x11, seed ^ 0x22],
-    };
-    JobSpec {
-        name: name.to_string(),
-        template: JobTemplate::Duplicated {
-            cfg,
-            factory: Arc::new(factory),
-        },
-        relative_deadline: Duration::from_secs(60),
-        runtime: JobRuntime::DiscreteEvent {
-            horizon: model.producer.period * (TENANT_TOKENS + 60)
-                + model.consumer.delay
-                + TimeNs::from_secs(5),
-        },
-    }
-}
 
 /// What one tenant-dimension chaos run produced.
 #[derive(Debug)]
@@ -135,9 +95,11 @@ pub fn chaos_with_tenants(seed: u64, shards: usize, detach_mid: bool) -> TenantC
         // domain, exercised by `chaos_under_load`).
         let fault = (i == FAULTY_TENANT && round == 0)
             .then(|| (1usize, FaultPlan::fail_stop_at(TimeNs::from_ms(80))));
-        let job = spec(
+        let job = profile_spec(
             &format!("chaos-{i}/round-{round}"),
             apps[i],
+            Redundancy::Duplicated,
+            TENANT_TOKENS,
             seed ^ ((round as u64) << 8) ^ (i as u64).wrapping_mul(0x9E37_79B9),
             fault,
         );

@@ -461,8 +461,10 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
 }
 
 /// Uniform read-side introspection over every arbitration channel —
-/// replicators and selectors of any structure. The fleet's metric fold and
-/// the chaos latch sweep use this instead of per-type downcasts.
+/// replicators and selectors of any structure. The fleet job runner reads
+/// every structure's latches through this (`rtft_fleet::JobTemplate::observe`,
+/// one generic read-back for the DES and threaded runtimes), and the chaos
+/// scenario runner reuses that same read-back for its latch sweep.
 pub trait Arbiter {
     /// Diagnostic name of the channel.
     fn arbiter_name(&self) -> &str;

@@ -62,6 +62,7 @@
 
 mod executor;
 mod job;
+mod recipe;
 mod supervisor;
 
 pub use executor::{
@@ -69,6 +70,8 @@ pub use executor::{
     RejectReason,
 };
 pub use job::{
-    execute, execute_spec, JobId, JobRunResult, JobRuntime, JobSpec, JobTemplate, SharedFactory,
+    execute, execute_spec, FinishedRun, JobId, JobProbe, JobRunResult, JobRuntime, JobSpec,
+    JobTemplate, Observation, SharedFactory,
 };
+pub use recipe::{hetero_model, output_slowdown, Redundancy};
 pub use supervisor::{FleetStatus, FleetSupervisor};
