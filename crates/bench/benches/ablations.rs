@@ -10,8 +10,8 @@
 
 use rtft_bench::report::{banner, ms, AsciiTable};
 use rtft_core::{
-    build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, Replicator,
-    ReplicatorConfig, Selector, SelectorConfig,
+    build_duplicated, ArbiterLedger, DuplicationConfig, FaultPlan, FirstOfGroup,
+    JitterStageReplica, NReplicator, NSelector, PolicySelector, SelectorFaultCause,
 };
 use rtft_kpn::{Engine, Payload};
 use rtft_rtc::sizing::{DuplicationModel, SizingReport};
@@ -46,28 +46,27 @@ fn ablation_deadlock() {
         let cfg = base_config(tokens);
         let (mut net, ids) = build_duplicated(&cfg, &factory);
         if !detection_enabled {
-            let caps = cfg.sizing;
+            let sizing = cfg.sizing;
             *net.channel_mut(ids.replicator)
                 .as_any_mut()
-                .downcast_mut::<Replicator>()
-                .expect("replicator") = Replicator::new(
+                .downcast_mut::<NReplicator>()
+                .expect("replicator") = NReplicator::new(
                 "replicator",
-                ReplicatorConfig::new([
-                    caps.replicator_capacity[0] as usize,
-                    caps.replicator_capacity[1] as usize,
-                ])
-                .without_detection(),
-            );
+                sizing.replicator_capacity.map(|c| c as usize).to_vec(),
+                None,
+            )
+            .without_detection();
+            let ledger = ArbiterLedger::new(
+                "selector",
+                sizing.selector_capacity.map(|c| c as usize).to_vec(),
+                sizing.selector_threshold,
+            )
+            .without_stall_detection()
+            .without_divergence_detection();
             *net.channel_mut(ids.selector)
                 .as_any_mut()
-                .downcast_mut::<Selector>()
-                .expect("selector") = Selector::new(
-                "selector",
-                SelectorConfig::without_detection([
-                    caps.selector_capacity[0] as usize,
-                    caps.selector_capacity[1] as usize,
-                ]),
-            );
+                .downcast_mut::<NSelector>()
+                .expect("selector") = PolicySelector::from_parts(ledger, FirstOfGroup);
         }
         let mut engine = Engine::new(net);
         engine.run_until(TimeNs::from_secs(30));
@@ -117,34 +116,33 @@ fn ablation_detector_split() {
     let factory = JitterStageReplica::from_model(&base_model()).with_seeds([7, 8]);
     let mut t = AsciiTable::new();
     t.row(["Detector", "latency (ms)", "cause"]);
+    let mut latched = Vec::new();
     for (label, divergence, stall) in [
         ("both", true, true),
         ("divergence only", true, false),
         ("stall only", false, true),
     ] {
         let cfg = base_config(200);
-        let d = cfg.sizing.selector_threshold;
         let (mut net, ids) = build_duplicated(&cfg, &factory);
-        let mut sel_cfg = SelectorConfig::new(
-            [
-                cfg.sizing.selector_capacity[0] as usize,
-                cfg.sizing.selector_capacity[1] as usize,
-            ],
-            d,
+        let mut ledger = ArbiterLedger::new(
+            "selector",
+            cfg.sizing.selector_capacity.map(|c| c as usize).to_vec(),
+            cfg.sizing.selector_threshold,
         );
         if !divergence {
-            sel_cfg.divergence_threshold = None;
+            ledger = ledger.without_divergence_detection();
         }
         if !stall {
-            sel_cfg = sel_cfg.without_stall_detection();
+            ledger = ledger.without_stall_detection();
         }
         *net.channel_mut(ids.selector)
             .as_any_mut()
-            .downcast_mut::<Selector>()
-            .expect("sel") = Selector::new("selector", sel_cfg);
+            .downcast_mut::<NSelector>()
+            .expect("sel") = PolicySelector::from_parts(ledger, FirstOfGroup);
         let mut engine = Engine::new(net);
         engine.run_until(TimeNs::from_secs(30));
-        match ids.selector_faults(engine.network())[0] {
+        let fault = ids.selector_faults(engine.network())[0];
+        match fault {
             Some(f) => t.row([
                 label.to_owned(),
                 ms(f.at.saturating_sub(TimeNs::from_secs(2))),
@@ -152,8 +150,23 @@ fn ablation_detector_split() {
             ]),
             None => t.row([label.to_owned(), "not detected".to_owned(), "-".to_owned()]),
         };
+        latched.push(fault.map(|f| (f.cause, f.at)));
     }
     print!("{}", t.render());
+    // Each switch really disables its rule: the divergence rule fires
+    // first whenever it is on, and the stall rule alone fires later.
+    let [both, divergence_only, stall_only] = latched[..] else {
+        unreachable!("three detector configurations")
+    };
+    let (both, divergence_only, stall_only) = (
+        both.expect("both rules detect"),
+        divergence_only.expect("divergence rule detects"),
+        stall_only.expect("stall rule detects"),
+    );
+    assert_eq!(both.0, SelectorFaultCause::Divergence);
+    assert_eq!(divergence_only.0, SelectorFaultCause::Divergence);
+    assert_eq!(stall_only.0, SelectorFaultCause::Stall);
+    assert!(stall_only.1 > both.1, "stall rule alone detects later");
 }
 
 fn ablation_jitter_sweep() {

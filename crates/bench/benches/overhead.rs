@@ -2,15 +2,13 @@
 //! version of Table 2's "Runtime" overhead row — plus the observability
 //! ablation: the same duplicated-network simulation with metrics off and
 //! on, which must agree within noise (the instrumentation is a handful of
-//! relaxed atomic increments behind an `Option` check).
+//! plain-integer tallies behind one flag, plus the post-run health read).
 //!
 //! Plain `std::time::Instant` harness: repeats each measurement and
 //! reports the minimum (least-noise) per-op / per-run cost.
 
 use rtft_apps::networks::App;
-use rtft_core::{
-    build_duplicated, instrument_duplicated, Replicator, ReplicatorConfig, Selector, SelectorConfig,
-};
+use rtft_core::{build_duplicated, NReplicator, NSelector};
 use rtft_kpn::{ChannelBehavior, Engine, Payload, Token};
 use rtft_obs::MetricsRegistry;
 use rtft_rtc::sizing::{DuplicationModel, SizingReport};
@@ -39,12 +37,8 @@ fn min_elapsed_ns(mut f: impl FnMut()) -> u64 {
 
 fn bench_replicator() {
     let per_op = |divergence: Option<u64>| {
-        let mut cfg = ReplicatorConfig::new([8, 8]);
-        if let Some(d) = divergence {
-            cfg = cfg.with_divergence_threshold(d);
-        }
         min_elapsed_ns(|| {
-            let mut r = Replicator::new("bench", cfg);
+            let mut r = NReplicator::new("bench", vec![8, 8], divergence);
             for i in 0..OPS {
                 let _ = black_box(r.try_write(0, tok(i), TimeNs::from_ns(i)));
                 let _ = black_box(r.try_read(0, TimeNs::from_ns(i)));
@@ -65,7 +59,7 @@ fn bench_replicator() {
 
 fn bench_selector() {
     let ns = min_elapsed_ns(|| {
-        let mut s = Selector::new("bench", SelectorConfig::new([8, 8], 4));
+        let mut s = NSelector::new("bench", vec![8, 8], 4);
         for i in 0..OPS {
             let _ = black_box(s.try_write(0, tok(i), TimeNs::from_ns(i)));
             let _ = black_box(s.try_write(1, tok(i), TimeNs::from_ns(i)));
@@ -98,7 +92,7 @@ fn bench_sizing_analysis() {
 }
 
 /// The observability ablation: one ADPCM duplicated-network run, engine
-/// metrics + detection instrumentation fully off vs fully on. Both arms
+/// metrics + the post-run health read fully off vs fully on. Both arms
 /// simulate the identical virtual-time schedule; the difference is pure
 /// host-side instrumentation cost.
 fn bench_metrics_ablation() {
@@ -128,11 +122,10 @@ fn bench_metrics_ablation() {
     let on_ns = min_elapsed_ns(|| {
         let registry = MetricsRegistry::new();
         let cfg = make_cfg();
-        let (mut net, ids) = build_duplicated(&cfg, &factory);
-        let _health = instrument_duplicated(&mut net, &ids, &cfg, &registry);
+        let (net, ids) = build_duplicated(&cfg, &factory);
         let mut engine = Engine::new(net).with_metrics(&registry);
         engine.run_until(horizon);
-        black_box(engine.network());
+        black_box(ids.health(engine.network(), &cfg, &registry));
         events = registry.counter("kpn.engine.events").get();
     });
     let delta = on_ns as f64 / off_ns as f64 - 1.0;

@@ -13,8 +13,8 @@ use crate::parallel::{campaign_workers, parallel_map_ordered};
 use rtft_apps::networks::App;
 use rtft_core::equivalence::TimingStats;
 use rtft_core::{
-    build_duplicated, build_reference, instrument_duplicated, DuplicationConfig, FaultPlan,
-    ReplicaFactory, ReplicatorFaultCause, SelectorFaultCause,
+    build_duplicated, build_reference, DuplicationConfig, FaultPlan, ReplicaFactory,
+    ReplicatorFaultCause, SelectorFaultCause,
 };
 use rtft_distfn::{tap_stage, DistanceMonitor, LRepetitive, StreamTap};
 use rtft_kpn::{Engine, Fifo, Network, NodeId, PortId};
@@ -181,9 +181,10 @@ pub fn fault_campaign(app: App, runs: usize, tokens: u64, fault_at: TimeNs) -> F
 }
 
 /// [`fault_campaign`] with the observability subsystem attached: every run
-/// executes with engine metrics on and a [`rtft_obs::HealthModel`] wired
-/// through [`instrument_duplicated`], and the pooled results come back as a
-/// [`BenchMetrics`] bundle for the result JSON. The detection numbers are
+/// executes with engine metrics on, its [`rtft_obs::HealthModel`] is read
+/// from the latches afterwards ([`rtft_core::DuplicatedIds::health`]), and
+/// the pooled results come back as a [`BenchMetrics`] bundle for the
+/// result JSON. The detection numbers are
 /// identical to the untracked campaign — instrumentation never touches
 /// virtual time.
 ///
@@ -237,11 +238,11 @@ pub fn fault_campaign_observed_with_workers(
         let factory = app.replica_factory([run * 7 + 11, run * 7 + 22]);
         let horizon = sim_horizon(&cfg, tokens);
 
-        let (mut net, ids) = build_duplicated(&cfg, &factory);
-        let health = instrument_duplicated(&mut net, &ids, &cfg, &registry);
+        let (net, ids) = build_duplicated(&cfg, &factory);
         let mut engine = Engine::new(net).with_metrics(&registry);
         engine.run_until(horizon);
         let net = engine.network();
+        let health = ids.health(net, &cfg, &registry);
 
         let rep_lat = ids.replicator_faults(net)[faulty].map(|f| {
             let lat = f.at.saturating_sub(fault_at);

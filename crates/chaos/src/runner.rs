@@ -20,7 +20,6 @@ use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario};
 use rtft_core::{FaultKind, PayloadGenerator};
 use rtft_fleet::{output_slowdown, FinishedRun, JobTemplate};
 use rtft_kpn::{Engine, Payload, SplitMix64};
-use rtft_obs::MetricsRegistry;
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
 use rtft_scc::{low_contention_pipeline, NocFaultPlan, SccPlatform};
@@ -298,7 +297,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
         fault.as_slice(),
     );
 
-    let (net, probe, _) = template.build(&MetricsRegistry::new());
+    let (net, probe) = template.build();
     let mut engine = engine_for(s, net, probe.replicator, probe.selector);
     engine.run_until(horizon);
     let obs = template.observe(&FinishedRun::Des(Box::new(engine)), &probe);

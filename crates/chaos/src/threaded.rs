@@ -15,8 +15,8 @@
 
 use rtft_core::{
     build_duplicated, build_n_modular_voting, CorruptionMode, DuplicationConfig, FaultPlan,
-    JitterStageReplica, NJitterStageReplica, NModularModel, NReplicator, NSizingReport, Replicator,
-    Selector, VotingSelector,
+    JitterStageReplica, NJitterStageReplica, NModularModel, NReplicator, NSelector, NSizingReport,
+    VotingSelector,
 };
 use rtft_kpn::threaded::run_threaded;
 use rtft_kpn::{Payload, PjdSink};
@@ -71,16 +71,16 @@ pub fn spot_duplicated_fail_stop() -> SpotCheck {
     let run = run_threaded(net, DEADLINE);
     // Builder channel order: replicator is 0, selector is 1.
     let faulty_latched = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(1).is_some())
+        .channel_as::<NReplicator, _>(0, |r| r.fault(1).is_some())
         .unwrap_or(false)
         || run
-            .channel_as::<Selector, _>(1, |s| s.fault(1).is_some())
+            .channel_as::<NSelector, _>(1, |s| s.fault(1).is_some())
             .unwrap_or(false);
     let healthy_latched = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(0).is_some())
+        .channel_as::<NReplicator, _>(0, |r| r.fault(0).is_some())
         .unwrap_or(true)
         || run
-            .channel_as::<Selector, _>(1, |s| s.fault(0).is_some())
+            .channel_as::<NSelector, _>(1, |s| s.fault(0).is_some())
             .unwrap_or(true);
     let arrivals = run
         .process_as::<PjdSink>("consumer")

@@ -31,11 +31,15 @@
 //!
 //! Every fault latch lands in the unified [`ArbFault`] record; the aliases
 //! expose their historical record types ([`SelectorFaultRecord`],
-//! `VoteFaultRecord`) through lossless conversions.
+//! `VoteFaultRecord`) through lossless conversions. Replica health is
+//! derived from those records once, after the run ([`replica_health`]),
+//! for every 2-replica structure alike.
 //!
 //! [`SelectorFaultRecord`]: crate::SelectorFaultRecord
 
+use crate::fault::{FaultPlan, FaultTrigger};
 use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};
+use rtft_obs::{DetectionSite, HealthModel};
 use rtft_rtc::TimeNs;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -81,6 +85,7 @@ pub struct ArbiterLedger {
     threshold: u64,
     stall_slack: u64,
     stall_detect: bool,
+    divergence_detect: bool,
 }
 
 impl ArbiterLedger {
@@ -111,7 +116,17 @@ impl ArbiterLedger {
             threshold: d,
             stall_slack: d - 1,
             stall_detect: true,
+            divergence_detect: true,
         }
+    }
+
+    /// Disables the eq. (5) divergence latch, leaving the stall rule as
+    /// the only timing detector (the §3.3 "first method"; ablation E9).
+    /// Policies that override [`ComparePolicy::check_divergence`] with
+    /// their own rule are unaffected.
+    pub fn without_divergence_detection(mut self) -> Self {
+        self.divergence_detect = false;
+        self
     }
 
     /// Disables the §3.3 stall latch. Required by policies whose interfaces
@@ -227,8 +242,13 @@ impl ArbiterLedger {
 
     /// The eq. (5) divergence latch: any healthy replica whose received
     /// count fell `D` behind the healthy front-runner. The front-runner
-    /// itself — and the last healthy replica — are never latched.
+    /// itself — and the last healthy replica — are never latched. A no-op
+    /// when divergence detection is disabled
+    /// ([`Self::without_divergence_detection`]).
     pub fn check_divergence(&mut self, now: TimeNs) {
+        if !self.divergence_detect {
+            return;
+        }
         let max = self.healthy_max_received();
         for i in 0..self.received.len() {
             if self.fault[i].is_none()
@@ -451,6 +471,10 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
         self.ledger.max_fill
     }
 
+    fn debug_name(&self) -> Option<&str> {
+        Some(self.ledger.name())
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -474,6 +498,13 @@ pub trait Arbiter {
 
     /// Unified latch record for replica `i`.
     fn latched(&self, i: usize) -> Option<ArbFault>;
+
+    /// Every replica's latch record, in interface order.
+    fn latches(&self) -> Vec<Option<ArbFault>> {
+        (0..self.replica_ifaces())
+            .map(|i| self.latched(i))
+            .collect()
+    }
 
     /// Replicas not latched.
     fn healthy_replicas(&self) -> usize {
@@ -502,6 +533,58 @@ impl<P: ComparePolicy> Arbiter for PolicySelector<P> {
     fn latched(&self, i: usize) -> Option<ArbFault> {
         self.ledger.fault(i)
     }
+}
+
+/// Replica health of a 2-replica structure after its run, derived from
+/// the latch records of its replicator and selector (one entry per
+/// replica, as [`Arbiter::latches`] returns them).
+///
+/// Injection instants come from the time-triggered fault plans, so the
+/// model's detection-latency histogram measures `detected_at −
+/// injected_at` in the run's own (virtual or wall) time. Each latch
+/// counts as one detection at its site; a replicator overflow is a
+/// write-side stall, and a value mismatch is reported at the divergence
+/// site, the closest label.
+pub fn replica_health(
+    faults: &[FaultPlan],
+    replicator: &[Option<ArbFault>],
+    selector: &[Option<ArbFault>],
+) -> HealthModel {
+    let health = HealthModel::new(faults.len());
+    for (i, plan) in faults.iter().enumerate() {
+        if let FaultTrigger::AtTime(t) = plan.trigger {
+            health.note_fault_injected(i, t.as_ns());
+        }
+    }
+    let latch = |v: &[Option<ArbFault>], i: usize| v.get(i).copied().flatten();
+    for i in 0..faults.len() {
+        let mut events: Vec<(DetectionSite, u64)> = Vec::new();
+        if let Some(f) = latch(replicator, i) {
+            let site = match f.cause {
+                ArbFaultCause::Stall => DetectionSite::ReplicatorOverflow,
+                ArbFaultCause::Divergence | ArbFaultCause::ValueMismatch => {
+                    DetectionSite::ReplicatorDivergence
+                }
+            };
+            events.push((site, f.at.as_ns()));
+        }
+        if let Some(f) = latch(selector, i) {
+            let site = match f.cause {
+                ArbFaultCause::Stall => DetectionSite::SelectorStall,
+                ArbFaultCause::Divergence | ArbFaultCause::ValueMismatch => {
+                    DetectionSite::SelectorDivergence
+                }
+            };
+            events.push((site, f.at.as_ns()));
+        }
+        // `on_detection` takes the first call as the first detection, so
+        // feed the sites in time order.
+        events.sort_by_key(|e| e.1);
+        for (site, at) in events {
+            health.on_detection(i, site, at);
+        }
+    }
+    health
 }
 
 #[cfg(test)]

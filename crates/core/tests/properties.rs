@@ -6,8 +6,8 @@
 //! external dependencies.
 
 use rtft_core::{
-    build_duplicated, build_reference, DuplicationConfig, FaultPlan, JitterStageReplica,
-    Replicator, ReplicatorConfig, Selector, SelectorConfig,
+    build_duplicated, build_reference, ArbiterLedger, DuplicationConfig, FaultPlan, FirstOfGroup,
+    JitterStageReplica, NReplicator, NSelector, PolicySelector,
 };
 use rtft_kpn::{ChannelBehavior, Engine, Payload, ReadOutcome, SplitMix64, Token, WriteOutcome};
 use rtft_rtc::sizing::DuplicationModel;
@@ -16,6 +16,14 @@ use std::sync::Arc;
 
 fn tok(seq: u64) -> Token {
     Token::new(seq, TimeNs::from_ms(seq), Payload::U64(seq))
+}
+
+/// A selector with both detection rules off: the bare §3.1 rules.
+fn bare_selector(caps: [usize; 2]) -> NSelector {
+    let ledger = ArbiterLedger::new("selector", caps.to_vec(), 1)
+        .without_stall_detection()
+        .without_divergence_detection();
+    PolicySelector::from_parts(ledger, FirstOfGroup)
 }
 
 fn mjpeg_like_model() -> DuplicationModel {
@@ -30,7 +38,9 @@ fn mjpeg_like_model() -> DuplicationModel {
 }
 
 /// The replicator delivers the exact producer sequence to every healthy
-/// replica, regardless of how reads interleave.
+/// replica, regardless of how reads interleave. A write blocks only when
+/// the last healthy replica's queue is full: that replica is never
+/// latched, so the producer sees back-pressure instead of token loss.
 #[test]
 fn replicator_preserves_order_per_queue() {
     let mut rng = SplitMix64::seed_from_u64(0xc0de_0001);
@@ -40,16 +50,20 @@ fn replicator_preserves_order_per_queue() {
             (1 + rng.next_inclusive(4)) as usize,
         ];
         let n_ops = 1 + rng.next_inclusive(198);
-        let mut r = Replicator::new("r", ReplicatorConfig::new(caps));
+        let mut r = NReplicator::new("r", caps.to_vec(), None);
         let mut written = 0u64;
         let mut read_seq = [0u64; 2];
         for _ in 0..n_ops {
             match rng.next_inclusive(3) {
                 0 | 1 => {
-                    // Producer write (detection on: never blocks).
                     let out = r.try_write(0, tok(written), TimeNs::from_ms(written));
-                    assert!(!matches!(out, WriteOutcome::Blocked(_)));
-                    written += 1;
+                    if matches!(out, WriteOutcome::Blocked(_)) {
+                        assert_eq!(r.healthy_count(), 1, "blocked with a spare replica");
+                        let last = (0..2).find(|&i| r.fault(i).is_none()).unwrap();
+                        assert_eq!(r.fill(last), caps[last], "blocked with space left");
+                    } else {
+                        written += 1;
+                    }
                 }
                 i @ (2 | 3) => {
                     let iface = (i - 2) as usize;
@@ -77,16 +91,16 @@ fn lemma1_space_isolation() {
             (1 + rng.next_inclusive(6)) as usize,
         ];
         let n_ops = 1 + rng.next_inclusive(98);
-        let mut s = Selector::new("s", SelectorConfig::without_detection(caps));
+        let mut s = bare_selector(caps);
         let mut seq = [0u64; 2];
         for _ in 0..n_ops {
             let iface = rng.next_inclusive(1) as usize;
             let other = 1 - iface;
-            let space_other_before = s.space(other);
+            let space_other_before = s.ledger().space(other);
             let _ = s.try_write(iface, tok(seq[iface]), TimeNs::ZERO);
             seq[iface] += 1;
             assert_eq!(
-                s.space(other),
+                s.ledger().space(other),
                 space_other_before,
                 "write on iface {iface} changed space of iface {other}"
             );
@@ -106,7 +120,7 @@ fn selector_delivers_each_pair_once() {
             (2 + rng.next_inclusive(5)) as usize,
         ];
         let n_ops = 1 + rng.next_inclusive(298);
-        let mut s = Selector::new("s", SelectorConfig::without_detection(caps));
+        let mut s = bare_selector(caps);
         let mut next_write = [0u64; 2];
         let mut delivered = Vec::new();
         let total = 40u64;
@@ -293,28 +307,20 @@ fn motivational_example_deadlock_vs_detection() {
         let repl = net2
             .channel_mut(ids2.replicator)
             .as_any_mut()
-            .downcast_mut::<Replicator>()
+            .downcast_mut::<NReplicator>()
             .expect("replicator");
-        *repl = Replicator::new(
+        *repl = NReplicator::new(
             "replicator",
-            ReplicatorConfig::new([
-                base.sizing.replicator_capacity[0] as usize,
-                base.sizing.replicator_capacity[1] as usize,
-            ])
-            .without_detection(),
-        );
+            base.sizing.replicator_capacity.map(|c| c as usize).to_vec(),
+            None,
+        )
+        .without_detection();
         let sel = net2
             .channel_mut(ids2.selector)
             .as_any_mut()
-            .downcast_mut::<Selector>()
+            .downcast_mut::<NSelector>()
             .expect("selector");
-        *sel = Selector::new(
-            "selector",
-            SelectorConfig::without_detection([
-                base.sizing.selector_capacity[0] as usize,
-                base.sizing.selector_capacity[1] as usize,
-            ]),
-        );
+        *sel = bare_selector(base.sizing.selector_capacity.map(|c| c as usize));
     }
     let mut engine2 = Engine::new(net2);
     engine2.run_until(TimeNs::from_secs(20));

@@ -14,18 +14,20 @@
 //! [`FinishedRun::run`] executes it (the only place the DES and threaded
 //! runtimes differ), and [`JobTemplate::observe`] reads both arbitration
 //! channels back through the `Arbiter` trait plus the consumer's arrival
-//! log. Templates for an application profile come from the shared recipe
-//! in [`JobTemplate::for_profile`].
+//! log. The 2-replica structures (duplicated and hetero) derive their
+//! replica health from those latches with `rtft_core::replica_health`.
+//! Templates for an application profile come from the shared recipe in
+//! [`JobTemplate::for_profile`].
 
 use rtft_core::{
-    build_duplicated, build_hetero, build_n_modular, build_n_modular_voting, instrument_duplicated,
-    ArbFault, ArbFaultCause, Arbiter, DuplicationConfig, FaultPlan, FaultTrigger, HeteroModel,
-    HeteroSelector, HeteroSizingReport, NModularModel, NReplicator, NSelector, NSizingReport,
-    PayloadGenerator, ReplicaFactory, Replicator, SampledReplicator, Selector, VotingSelector,
+    build_duplicated, build_hetero, build_n_modular, build_n_modular_voting, replica_health,
+    ArbFault, Arbiter, DuplicationConfig, FaultPlan, HeteroModel, HeteroSelector,
+    HeteroSizingReport, NModularModel, NReplicator, NSelector, NSizingReport, PayloadGenerator,
+    ReplicaFactory, SampledReplicator, VotingSelector,
 };
 use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
 use rtft_kpn::{ChannelId, Engine, Network, NodeId, PjdSink};
-use rtft_obs::{DetectionSite, HealthModel, MetricsRegistry};
+use rtft_obs::{HealthModel, MetricsRegistry};
 use rtft_rtc::TimeNs;
 use std::sync::Arc;
 use std::time::Duration;
@@ -202,13 +204,7 @@ impl JobTemplate {
     }
 
     /// Builds one fresh instance of the template's network.
-    ///
-    /// Duplicated networks get the live detection hooks of
-    /// [`instrument_duplicated`] wired into `registry`, and the returned
-    /// [`HealthModel`] follows their latches; every other structure
-    /// returns `None` (hetero health is derived after the run, see
-    /// [`execute`]).
-    pub fn build(&self, registry: &MetricsRegistry) -> (Network, JobProbe, Option<HealthModel>) {
+    pub fn build(&self) -> (Network, JobProbe) {
         let probe = |replicator, selector, consumer| JobProbe {
             replicator,
             selector,
@@ -216,13 +212,8 @@ impl JobTemplate {
         };
         match self {
             JobTemplate::Duplicated { cfg, factory } => {
-                let (mut net, ids) = build_duplicated(cfg, factory.as_ref());
-                let health = instrument_duplicated(&mut net, &ids, cfg, registry);
-                (
-                    net,
-                    probe(ids.replicator, ids.selector, ids.consumer),
-                    Some(health),
-                )
+                let (net, ids) = build_duplicated(cfg, factory.as_ref());
+                (net, probe(ids.replicator, ids.selector, ids.consumer))
             }
             JobTemplate::NModular {
                 model,
@@ -255,7 +246,7 @@ impl JobTemplate {
                     factory.as_ref(),
                     faults,
                 );
-                (net, probe(ids.replicator, ids.selector, ids.consumer), None)
+                (net, probe(ids.replicator, ids.selector, ids.consumer))
             }
             JobTemplate::Hetero {
                 model,
@@ -275,7 +266,7 @@ impl JobTemplate {
                     factory.as_ref(),
                     faults,
                 );
-                (net, probe(ids.replicator, ids.selector, ids.consumer), None)
+                (net, probe(ids.replicator, ids.selector, ids.consumer))
             }
         }
     }
@@ -285,8 +276,9 @@ impl JobTemplate {
     /// the consumer's arrival log.
     pub fn observe(&self, run: &FinishedRun, probe: &JobProbe) -> Observation {
         match self {
-            JobTemplate::Duplicated { .. } => run.observe::<Replicator, Selector>(probe),
-            JobTemplate::NModular { .. } => run.observe::<NReplicator, NSelector>(probe),
+            JobTemplate::Duplicated { .. } | JobTemplate::NModular { .. } => {
+                run.observe::<NReplicator, NSelector>(probe)
+            }
             JobTemplate::NModularVoting { .. } => run.observe::<NReplicator, VotingSelector>(probe),
             JobTemplate::Hetero { .. } => run.observe::<SampledReplicator, HeteroSelector>(probe),
         }
@@ -346,10 +338,7 @@ impl FinishedRun {
 
     /// Every replica's latch record at arbitration channel `id`.
     fn latches<A: Arbiter + 'static>(&self, id: ChannelId) -> Vec<Option<ArbFault>> {
-        self.channel(id, |a: &A| {
-            (0..a.replica_ifaces()).map(|i| a.latched(i)).collect()
-        })
-        .unwrap_or_default()
+        self.channel(id, A::latches).unwrap_or_default()
     }
 
     fn observe<R: Arbiter + 'static, S: Arbiter + 'static>(&self, probe: &JobProbe) -> Observation {
@@ -424,9 +413,9 @@ pub struct JobRunResult {
     /// The run's private metrics registry (folded into the fleet registry
     /// by the supervisor).
     pub registry: MetricsRegistry,
-    /// Replica health: live for duplicated jobs, derived from the latches
-    /// for hetero jobs; `None` for n-modular jobs, which report faults
-    /// through `faulty_replicas` only.
+    /// Replica health of the 2-replica structures (duplicated, hetero),
+    /// derived from the latches after the run; `None` for n-modular jobs,
+    /// which report faults through `faulty_replicas` only.
     pub health: Option<HealthModel>,
     /// The consumer's per-token `(arrival time ns, payload digest)` log,
     /// in delivery order — what a streaming front-end pushes back to its
@@ -446,61 +435,19 @@ impl JobRunResult {
     }
 }
 
-/// Builds a hetero run's health view after the fact: injection instants
-/// from the fault plans, detection instants from the two channels' latch
-/// records. The front-end reads detection latencies off this exactly as
-/// it does for duplicated jobs.
-fn hetero_health(faults: &[FaultPlan; 2], obs: &Observation) -> HealthModel {
-    let health = HealthModel::new(2);
-    for (i, plan) in faults.iter().enumerate() {
-        if let FaultTrigger::AtTime(t) = plan.trigger {
-            health.note_fault_injected(i, t.as_ns());
-        }
-    }
-    let latch = |v: &[Option<ArbFault>], i: usize| v.get(i).copied().flatten();
-    for i in 0..2 {
-        let mut events: Vec<(DetectionSite, u64)> = Vec::new();
-        if let Some(f) = latch(&obs.replicator, i) {
-            // The replicator reports an overflow as a write-side stall.
-            let site = match f.cause {
-                ArbFaultCause::Stall => DetectionSite::ReplicatorOverflow,
-                ArbFaultCause::Divergence | ArbFaultCause::ValueMismatch => {
-                    DetectionSite::ReplicatorDivergence
-                }
-            };
-            events.push((site, f.at.as_ns()));
-        }
-        if let Some(f) = latch(&obs.selector, i) {
-            let site = match f.cause {
-                ArbFaultCause::Stall => DetectionSite::SelectorStall,
-                // A digest mismatch is an arrival that disagrees — the
-                // closest existing site label.
-                ArbFaultCause::Divergence | ArbFaultCause::ValueMismatch => {
-                    DetectionSite::SelectorDivergence
-                }
-            };
-            events.push((site, f.at.as_ns()));
-        }
-        // `on_detection` takes the first call as the first detection, so
-        // feed the sites in time order.
-        events.sort_by_key(|e| e.1);
-        for (site, at) in events {
-            health.on_detection(i, site, at);
-        }
-    }
-    health
-}
-
 /// Builds and runs one instance of the template under the given runtime:
 /// [`JobTemplate::build`], then [`FinishedRun::run`], then
 /// [`JobTemplate::observe`].
 ///
-/// Hetero runs also record how many main tokens were sampled for
-/// re-verification, how many of those the checker verified, and how far
-/// the checker still lagged the sampled stream at the end
+/// The 2-replica structures derive their [`HealthModel`] from the
+/// latches ([`replica_health`]). Duplicated runs also record
+/// `core.detections` (latches at either channel) and
+/// `core.selector.discarded` (tokens the selector consumed without
+/// delivery). Hetero runs instead record how many main tokens were
+/// sampled for re-verification, how many of those the checker verified,
+/// and how far the checker still lagged the sampled stream at the end
 /// (`hetero.tokens.sampled` / `hetero.tokens.verified` /
-/// `hetero.checker_lag`), and derive their [`HealthModel`] from the
-/// latches.
+/// `hetero.checker_lag`).
 ///
 /// This is a plain synchronous function: the fleet executor calls it from
 /// a pool worker, tests can call it directly.
@@ -512,21 +459,33 @@ fn hetero_health(faults: &[FaultPlan; 2], obs: &Observation) -> HealthModel {
 /// failed rather than poisoning the pool.
 pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
     let registry = MetricsRegistry::new();
-    let (net, probe, mut health) = template.build(&registry);
+    let (net, probe) = template.build();
     let run = FinishedRun::run(net, runtime, &registry);
     let obs = template.observe(&run, &probe);
-    if let JobTemplate::Hetero { faults, .. } = template {
-        let (samples, verified, lag) = run
-            .channel(probe.selector, |s: &HeteroSelector| {
-                let c = s.policy();
-                (c.samples(), c.verified(), c.checker_lag())
-            })
-            .unwrap_or_default();
-        registry.counter("hetero.tokens.sampled").add(samples);
-        registry.counter("hetero.tokens.verified").add(verified);
-        registry.gauge("hetero.checker_lag").set(lag);
-        health = Some(hetero_health(faults, &obs));
-    }
+    let health = match template {
+        JobTemplate::Duplicated { cfg, .. } => {
+            let latched = obs.replicator.iter().chain(&obs.selector).flatten().count();
+            registry.counter("core.detections").add(latched as u64);
+            let discarded = run
+                .channel(probe.selector, NSelector::discarded)
+                .unwrap_or_default();
+            registry.counter("core.selector.discarded").add(discarded);
+            Some(replica_health(&cfg.faults, &obs.replicator, &obs.selector))
+        }
+        JobTemplate::Hetero { faults, .. } => {
+            let (samples, verified, lag) = run
+                .channel(probe.selector, |s: &HeteroSelector| {
+                    let c = s.policy();
+                    (c.samples(), c.verified(), c.checker_lag())
+                })
+                .unwrap_or_default();
+            registry.counter("hetero.tokens.sampled").add(samples);
+            registry.counter("hetero.tokens.verified").add(verified);
+            registry.gauge("hetero.checker_lag").set(lag);
+            Some(replica_health(faults, &obs.replicator, &obs.selector))
+        }
+        JobTemplate::NModular { .. } | JobTemplate::NModularVoting { .. } => None,
+    };
     JobRunResult {
         arrivals: obs.arrival_log.len() as u64,
         expected: template.expected_tokens(),

@@ -20,11 +20,12 @@
 //!   named atomic metrics; histograms are fixed-layout log₂ buckets with
 //!   p50/p90/p99/max queries.
 //! * [`Ring`] / [`EventSink`] — bounded event storage with drop counting;
-//!   subsumes the old unbounded `kpn::trace` log.
+//!   the DES engine's execution trace records into an [`EventSink`].
 //! * [`Hll`] — a mergeable HyperLogLog distinct counter (fixed hash, so
 //!   estimates are reproducible) for unique-streams / unique-tenants
 //!   rollups.
-//! * [`HealthModel`] — folds replicator/selector detection events into
+//! * [`HealthModel`] — folds replicator/selector detection events (read
+//!   from the channels' latch records after a run) into
 //!   per-replica `Healthy`/`Suspected`/`Faulty` status with a
 //!   time-to-detection histogram.
 //! * [`export`] — JSONL event dumps, human-readable summaries, and the

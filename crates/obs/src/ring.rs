@@ -1,9 +1,10 @@
 //! Bounded ring buffers: event storage that cannot grow without bound.
 //!
-//! Long fault-injection campaigns used to fill `kpn::trace::Trace`'s
-//! unbounded `Vec` with millions of events; the ring keeps the most recent
-//! `capacity` entries and *counts* what it evicts, so post-processing knows
-//! exactly how lossy the record is.
+//! Long fault-injection campaigns can emit millions of events; the ring
+//! keeps the most recent `capacity` entries and *counts* what it evicts,
+//! so post-processing knows exactly how lossy the record is. The DES
+//! engine's execution trace (`Engine::with_trace`) records straight into
+//! an [`EventSink`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

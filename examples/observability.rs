@@ -6,11 +6,11 @@
 //!
 //! * engine metrics (`Engine::with_metrics`) — token/event counters and
 //!   per-channel fill gauges with high-water marks;
-//! * detection instrumentation (`instrument_duplicated`) — the replicator
-//!   and selector report latches into a `HealthModel`, which folds them
-//!   into per-replica status and a detection-latency histogram;
-//! * the bounded execution trace (`Engine::with_trace`), exported as JSONL
-//!   through an `rtft_obs::EventSink`.
+//! * replica health (`DuplicatedIds::health`) — after the run, the
+//!   replicator's and selector's latch records fold into a `HealthModel`:
+//!   per-replica status and a detection-latency histogram;
+//! * the execution trace (`Engine::with_trace`), recorded straight into a
+//!   bounded `rtft_obs::EventSink` and exported as JSONL.
 //!
 //! Everything runs on deterministic virtual time: the subsystem records
 //! *which* virtual instant things happened at but never reads a host
@@ -21,11 +21,10 @@
 //! cargo run --bin observability
 //! ```
 
-use rtft_core::{build_duplicated, instrument_duplicated, FaultPlan};
-use rtft_kpn::{Engine, TraceEvent};
+use rtft_core::{build_duplicated, FaultPlan};
+use rtft_kpn::Engine;
 use rtft_obs::{
-    events_to_jsonl, registry_to_json, summary_report, ClockDomain, EventRecord, EventSink,
-    MetricsRegistry, ReplicaStatus,
+    events_to_jsonl, registry_to_json, summary_report, EventSink, MetricsRegistry, ReplicaStatus,
 };
 use rtft_rtc::TimeNs;
 
@@ -49,12 +48,16 @@ fn main() {
         tokens, period, fault_at
     );
 
-    // Attach every layer, then run to completion on virtual time.
+    // Attach metrics and the trace sink (it keeps only the last 8 events),
+    // run to completion on virtual time, then read the replicas' health.
     let registry = MetricsRegistry::new();
-    let (mut net, ids) = build_duplicated(&cfg, &factory);
-    let health = instrument_duplicated(&mut net, &ids, &cfg, &registry);
-    let mut engine = Engine::new(net).with_metrics(&registry).with_trace();
+    let sink = EventSink::new(8);
+    let (net, ids) = build_duplicated(&cfg, &factory);
+    let mut engine = Engine::new(net)
+        .with_metrics(&registry)
+        .with_trace(sink.clone());
     engine.run_until(period * (tokens + 40) + TimeNs::from_secs(2));
+    let health = ids.health(engine.network(), &cfg, &registry);
 
     // 1. The human-readable summary: counters, watermarks, health.
     print!("{}", summary_report(&registry, Some(&health)));
@@ -75,52 +78,13 @@ fn main() {
         "fault must be masked: the consumer sees every token"
     );
 
-    // 2. The trace ring, exported as JSONL (tail only — the ring already
-    //    bounded memory during the run and counted what it evicted).
-    let trace = engine.trace();
-    let sink = EventSink::new(8);
-    for (at, ev) in trace.events() {
-        let (name, node, channel, value) = match ev {
-            TraceEvent::TokenWritten {
-                node,
-                port,
-                seq,
-                dropped,
-            } => (
-                if dropped {
-                    "token.discarded"
-                } else {
-                    "token.written"
-                },
-                Some(node.0),
-                Some(port.channel.0),
-                seq,
-            ),
-            TraceEvent::TokenRead { node, port, seq } => {
-                ("token.read", Some(node.0), Some(port.channel.0), seq)
-            }
-            TraceEvent::ReadBlocked { node, port } => {
-                ("read.blocked", Some(node.0), Some(port.channel.0), 0)
-            }
-            TraceEvent::WriteBlocked { node, port } => {
-                ("write.blocked", Some(node.0), Some(port.channel.0), 0)
-            }
-            TraceEvent::Halted { node } => ("process.halted", Some(node.0), None, 0),
-        };
-        sink.push(EventRecord {
-            at_ns: at.as_ns(),
-            clock: ClockDomain::Virtual,
-            name,
-            node,
-            channel,
-            value,
-        });
-    }
+    // 2. The trace ring, exported as JSONL (tail only — the ring bounded
+    //    memory during the run and counted what it evicted).
     println!(
         "\n== last {} of {} trace events (+{} evicted by the ring), as JSONL ==",
         sink.len(),
-        trace.len(),
-        trace.dropped()
+        sink.len() as u64 + sink.dropped(),
+        sink.dropped()
     );
     print!("{}", events_to_jsonl(&sink));
 

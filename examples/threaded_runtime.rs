@@ -9,7 +9,7 @@
 //! Periods are scaled down (1 ms) so the demo finishes in about a second
 //! of wall time.
 
-use rtft_core::{build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, Selector};
+use rtft_core::{build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, NSelector};
 use rtft_kpn::threaded::run_threaded;
 use rtft_kpn::{Payload, PjdSink};
 use rtft_rtc::sizing::DuplicationModel;
@@ -58,7 +58,7 @@ fn main() {
 
     // Channel index 1 is the selector (the builder adds replicator first).
     let (enqueued, discarded, fault0) = run
-        .channel_as::<Selector, _>(1, |s: &Selector| (s.enqueued(), s.discarded(), s.fault(0)))
+        .channel_as::<NSelector, _>(1, |s: &NSelector| (s.enqueued(), s.discarded(), s.fault(0)))
         .expect("selector state");
     println!("selector: enqueued {enqueued}, discarded {discarded}, replica-0 fault: {fault0:?}");
 

@@ -102,6 +102,12 @@ fn observation_state_asymmetry() {
     // Distance functions alone (before any event history!) already cost
     // more than the selector's whole counter block.
     assert!(l8.state_bytes() > 128);
-    assert!(rtft_core::Selector::state_bytes() < 512);
-    assert!(rtft_core::Replicator::state_bytes() < 512);
+    let selector = rtft_core::NSelector::new("selector", vec![4, 4], 3);
+    let replicator = rtft_core::NReplicator::new("replicator", vec![4, 4], Some(3));
+    assert!(selector.state_bytes() < 512, "{}", selector.state_bytes());
+    assert!(
+        replicator.state_bytes() < 512,
+        "{}",
+        replicator.state_bytes()
+    );
 }

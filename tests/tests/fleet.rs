@@ -1,7 +1,9 @@
 //! Integration tests of the `rtft-fleet` executor: admission backpressure,
 //! EDF ordering, health-aware replacement, and throughput scaling.
 
-use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica, NJitterStageReplica};
+use rtft_core::{
+    DuplicationConfig, FaultPlan, JitterStageReplica, NJitterStageReplica, ReplicaFactory,
+};
 use rtft_core::{
     HeteroModel, HeteroSizingReport, HeteroStageReplica, NModularModel, NSizingReport,
 };
@@ -9,12 +11,12 @@ use rtft_fleet::{
     execute, Admission, FleetConfig, FleetExecutor, JobRunResult, JobRuntime, JobSpec, JobTemplate,
     RejectReason,
 };
-use rtft_kpn::Payload;
+use rtft_kpn::{Network, NodeId, Payload, PortId};
 use rtft_obs::registry_to_json;
 use rtft_rtc::sizing::DuplicationModel;
 use rtft_rtc::{PjdModel, TimeNs};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Serialises the wall-clock-sensitive tests: the harness runs tests on
 /// parallel threads, and on a small host two fleets of sleep-bound jobs
@@ -160,32 +162,103 @@ fn n_modular_job_reports_faulty_indices_through_the_fleet() {
     assert_eq!(report.status.recovered, 1);
 }
 
+/// A meeting point for `parties` arrivals: each [`Rendezvous::arrive`]
+/// blocks until all parties have arrived. A generous timeout turns a
+/// rendezvous that can never complete into a test failure
+/// ([`Rendezvous::timed_out`]) instead of a hung suite.
+#[derive(Clone)]
+struct Rendezvous {
+    parties: u32,
+    state: Arc<(Mutex<(u32, bool)>, Condvar)>,
+}
+
+impl Rendezvous {
+    fn new(parties: u32) -> Self {
+        Rendezvous {
+            parties,
+            state: Arc::new((Mutex::new((0, false)), Condvar::new())),
+        }
+    }
+
+    fn arrive(&self) {
+        let (lock, cvar) = &*self.state;
+        let mut st = lock.lock().unwrap();
+        st.0 += 1;
+        cvar.notify_all();
+        let (mut st, wait) = cvar
+            .wait_timeout_while(st, Duration::from_secs(30), |st| st.0 < self.parties)
+            .unwrap();
+        st.1 |= wait.timed_out();
+    }
+
+    fn timed_out(&self) -> bool {
+        self.state.0.lock().unwrap().1
+    }
+}
+
+/// A replica factory that meets a [`Rendezvous`] before wiring replica 0,
+/// so a job holds its worker for exactly as long as the test decides —
+/// no wall-clock timing involved.
+struct GatedFactory {
+    inner: JitterStageReplica,
+    gate: Rendezvous,
+}
+
+impl ReplicaFactory for GatedFactory {
+    fn build(
+        &self,
+        net: &mut Network,
+        input: PortId,
+        output: PortId,
+        replica: usize,
+        fault: FaultPlan,
+    ) -> Vec<NodeId> {
+        if replica == 0 {
+            self.gate.arrive();
+        }
+        self.inner.build(net, input, output, replica, fault)
+    }
+}
+
+/// [`des_job`] whose build waits at `gate`.
+fn gated_job(name: &str, gate: &Rendezvous) -> JobSpec {
+    let mut spec = des_job(name, None);
+    if let JobTemplate::Duplicated { cfg, factory } = &mut spec.template {
+        *factory = Arc::new(GatedFactory {
+            inner: JitterStageReplica::from_model(&cfg.model),
+            gate: gate.clone(),
+        });
+    }
+    spec
+}
+
 #[test]
 fn full_fleet_rejects_with_queue_full() {
-    let _serial = timing_lock();
-    // One worker, capacity two: the first job occupies the worker for at
-    // least its quiescence window, so the third submission must bounce.
+    // One worker, capacity two. The first job holds the worker at the
+    // gate, so both admitted jobs stay outstanding and the third
+    // submission must bounce; then the test opens the gate.
+    let gate = Rendezvous::new(2);
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 1,
         pending_capacity: 2,
         max_replacements: 0,
     });
-    assert!(matches!(
-        fleet.submit(threaded_job("a", 4)),
-        Admission::Admitted(_)
-    ));
-    assert!(matches!(
-        fleet.submit(threaded_job("b", 4)),
-        Admission::Admitted(_)
-    ));
-    match fleet.submit(threaded_job("c", 4)) {
+    for name in ["a", "b"] {
+        assert!(matches!(
+            fleet.submit(gated_job(name, &gate)),
+            Admission::Admitted(_)
+        ));
+    }
+    match fleet.submit(des_job("c", None)) {
         Admission::Rejected(RejectReason::QueueFull { pending, capacity }) => {
             assert_eq!(pending, 2);
             assert_eq!(capacity, 2);
         }
         other => panic!("expected QueueFull, got {other:?}"),
     }
+    gate.arrive();
     let report = fleet.join();
+    assert!(!gate.timed_out());
     assert_eq!(report.status.submitted, 2);
     assert_eq!(report.status.rejected, 1);
     assert_eq!(report.runs.len(), 2);
@@ -232,34 +305,23 @@ fn single_worker_completes_in_deadline_order() {
 
 #[test]
 fn two_workers_overlap_sleep_bound_jobs() {
-    let _serial = timing_lock();
-    // Six ≈50 ms sleep-bound jobs: two workers overlap the waiting, so
-    // wall time must drop clearly below the serial run. The 1.2× floor is
-    // deliberately loose for noisy CI machines.
-    let run = |workers: usize| {
-        let fleet = FleetExecutor::new(FleetConfig {
-            workers,
-            pending_capacity: 16,
-            max_replacements: 0,
-        });
-        let start = Instant::now();
-        for i in 0..6 {
-            assert!(matches!(
-                fleet.submit(threaded_job(&format!("job-{i}"), 6)),
-                Admission::Admitted(_)
-            ));
-        }
-        let report = fleet.join();
-        assert_eq!(report.status.completed, 6);
-        start.elapsed()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    let ratio = serial.as_secs_f64() / overlapped.as_secs_f64();
-    assert!(
-        ratio >= 1.2,
-        "2 workers should overlap sleep-bound jobs: serial {serial:?}, overlapped {overlapped:?} (ratio {ratio:.2})"
-    );
+    // Each job waits at a shared two-party rendezvous while it builds, so
+    // the jobs can only finish if two workers run them at the same time.
+    let gate = Rendezvous::new(2);
+    let fleet = FleetExecutor::new(FleetConfig {
+        workers: 2,
+        pending_capacity: 16,
+        max_replacements: 0,
+    });
+    for i in 0..2 {
+        assert!(matches!(
+            fleet.submit(gated_job(&format!("job-{i}"), &gate)),
+            Admission::Admitted(_)
+        ));
+    }
+    let report = fleet.join();
+    assert!(!gate.timed_out(), "the two jobs never ran concurrently");
+    assert_eq!(report.status.completed, 2);
 }
 
 /// FNV-1a 64 — dependency-free content digest for the pinned transcripts.

@@ -4,7 +4,7 @@
 //! network under injected fail-stop and rate-degradation faults.
 
 use rtft_apps::networks::App;
-use rtft_core::{build_duplicated, instrument_duplicated, FaultPlan};
+use rtft_core::{build_duplicated, FaultPlan};
 use rtft_kpn::Engine;
 use rtft_obs::{registry_to_json, summary_report, Histogram, MetricsRegistry, ReplicaStatus};
 use rtft_rtc::TimeNs;
@@ -114,10 +114,10 @@ fn run_with_fault(plan: FaultPlan) -> FaultRun {
         .as_ns();
     let factory = app.replica_factory([11, 22]);
     let registry = MetricsRegistry::new();
-    let (mut net, ids) = build_duplicated(&cfg, &factory);
-    let health = instrument_duplicated(&mut net, &ids, &cfg, &registry);
+    let (net, ids) = build_duplicated(&cfg, &factory);
     let mut engine = Engine::new(net).with_metrics(&registry);
     engine.run_until(period * (tokens + 40) + TimeNs::from_secs(2));
+    let health = ids.health(engine.network(), &cfg, &registry);
     FaultRun {
         registry,
         health,

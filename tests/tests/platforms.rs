@@ -3,7 +3,7 @@
 
 use rtft_apps::networks::App;
 use rtft_core::{
-    build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, Replicator, Selector,
+    build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, NReplicator, NSelector,
 };
 use rtft_kpn::threaded::run_threaded;
 use rtft_kpn::{Engine, Payload, PjdSink};
@@ -129,20 +129,20 @@ fn threaded_runtime_masks_fault() {
 
     // Replicator is channel 0, selector channel 1 (builder order).
     let rep_fault = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(1))
+        .channel_as::<NReplicator, _>(0, |r| r.fault(1))
         .expect("replicator state");
     let sel_fault = run
-        .channel_as::<Selector, _>(1, |s| s.fault(1))
+        .channel_as::<NSelector, _>(1, |s| s.fault(1))
         .expect("selector state");
     assert!(
         rep_fault.is_some() || sel_fault.is_some(),
         "fault undetected on real threads"
     );
     let healthy_rep = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(0))
+        .channel_as::<NReplicator, _>(0, |r| r.fault(0))
         .expect("state");
     let healthy_sel = run
-        .channel_as::<Selector, _>(1, |s| s.fault(0))
+        .channel_as::<NSelector, _>(1, |s| s.fault(0))
         .expect("state");
     assert!(
         healthy_rep.is_none() && healthy_sel.is_none(),
@@ -175,7 +175,7 @@ fn threaded_detection_latency_matches_simulation_scale() {
     let (net, _ids) = build_duplicated(&cfg, &factory);
     let run = run_threaded(net, Duration::from_secs(20));
     let sel_fault = run
-        .channel_as::<Selector, _>(1, |s| s.fault(0))
+        .channel_as::<NSelector, _>(1, |s| s.fault(0))
         .expect("selector state");
     let f = sel_fault.expect("detected");
     let latency = f.at.saturating_sub(fault_at);
